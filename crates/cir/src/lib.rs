@@ -32,7 +32,7 @@ pub mod typecheck;
 pub use ast::Program;
 pub use hir::{HFunc, HProgram, HTy};
 pub use interp::{CliteHost, Interp, InterpError, NoSyscalls};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_NESTING};
 pub use typecheck::{lower, TypeError};
 
 /// Parses and typechecks CLite source text into executable HIR.

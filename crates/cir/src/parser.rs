@@ -62,9 +62,24 @@ impl From<LexError> for ParseError {
 
 type PResult<T> = Result<T, ParseError>;
 
+/// Deepest nesting a program may use, counted in tree levels from the
+/// top-level item: a function body's statements sit at level 1, each
+/// statement's expressions one level below it, each block, `else if`,
+/// operand, argument and parenthesised group one level further. A chain
+/// such as `1 + 1 + … + 1` is as deep as it is long.
+///
+/// The parser and every later stage — the type checker, both compilers,
+/// the wasm validator and JIT, the interpreters — walk the program
+/// recursively, so this one bound keeps them all inside a thread's stack
+/// whatever source a client sends. It is far above what the benchmark
+/// programs and the fuzzer's programs use.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Tree level of the construct being parsed (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 fn scalar_ty(name: &str) -> Option<Ty> {
@@ -160,10 +175,37 @@ impl Parser {
         scalar_ty(&name).map_or_else(|| self.err(format!("unknown type `{name}`")), Ok)
     }
 
+    /// Runs `f` one tree level down, rejecting the program if that level
+    /// is past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.reach(1)?;
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Rejects the program if a tree reaching `below` levels under the
+    /// current one would pass [`MAX_NESTING`].
+    fn reach(&self, below: usize) -> PResult<()> {
+        if self.depth + below > MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        Ok(())
+    }
+
     // ----- expressions -------------------------------------------------
+    //
+    // Expression parsers return the tree with its height, which bounds
+    // operator chains: they are built in a loop, not by recursion.
 
     fn parse_expr(&mut self) -> PResult<Expr> {
-        self.parse_binary(0)
+        self.parse_sub().map(|(e, _)| e)
+    }
+
+    /// An expression one level below the current one, with its height.
+    fn parse_sub(&mut self) -> PResult<(Expr, usize)> {
+        self.nested(|p| p.parse_binary(0))
     }
 
     fn binop_at(&self, level: u8) -> Option<(BinOp, &'static str)> {
@@ -195,158 +237,136 @@ impl Parser {
         None
     }
 
-    fn parse_binary(&mut self, level: u8) -> PResult<Expr> {
+    fn parse_binary(&mut self, level: u8) -> PResult<(Expr, usize)> {
         if level > 9 {
             return self.parse_unary();
         }
-        let mut lhs = self.parse_binary(level + 1)?;
+        let (mut lhs, mut height) = self.parse_binary(level + 1)?;
         while let Some((op, _)) = self.binop_at(level) {
             let line = self.line();
             self.next();
-            let rhs = self.parse_binary(level + 1)?;
+            let (rhs, rhs_height) = self.parse_binary(level + 1)?;
+            height = 1 + height.max(rhs_height);
+            self.reach(height - 1)?;
             lhs = Expr {
                 kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
                 line,
             };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_unary(&mut self) -> PResult<Expr> {
+    fn parse_unary(&mut self) -> PResult<(Expr, usize)> {
         let line = self.line();
-        if self.eat_punct("-") {
-            let e = self.parse_unary()?;
-            return Ok(Expr {
-                kind: ExprKind::Unary(UnOp::Neg, Box::new(e)),
-                line,
-            });
-        }
-        if self.eat_punct("!") {
-            let e = self.parse_unary()?;
-            return Ok(Expr {
-                kind: ExprKind::Unary(UnOp::Not, Box::new(e)),
-                line,
-            });
-        }
-        if self.eat_punct("~") {
-            let e = self.parse_unary()?;
-            return Ok(Expr {
-                kind: ExprKind::Unary(UnOp::BitNot, Box::new(e)),
-                line,
-            });
-        }
-        self.parse_postfix()
+        let op = if self.eat_punct("-") {
+            UnOp::Neg
+        } else if self.eat_punct("!") {
+            UnOp::Not
+        } else if self.eat_punct("~") {
+            UnOp::BitNot
+        } else {
+            return self.parse_postfix();
+        };
+        let (e, height) = self.nested(Self::parse_unary)?;
+        let kind = ExprKind::Unary(op, Box::new(e));
+        Ok((Expr { kind, line }, height + 1))
     }
 
-    fn parse_args(&mut self) -> PResult<Vec<Expr>> {
+    /// A parenthesised argument list, with the height of its tallest
+    /// argument.
+    fn parse_args(&mut self) -> PResult<(Vec<Expr>, usize)> {
         self.expect_punct("(")?;
         let mut args = Vec::new();
+        let mut height = 0;
         if !self.eat_punct(")") {
             loop {
-                args.push(self.parse_expr()?);
+                let (arg, h) = self.parse_sub()?;
+                args.push(arg);
+                height = height.max(h);
                 if self.eat_punct(")") {
                     break;
                 }
                 self.expect_punct(",")?;
             }
         }
-        Ok(args)
+        Ok((args, height))
     }
 
-    fn parse_postfix(&mut self) -> PResult<Expr> {
+    fn parse_postfix(&mut self) -> PResult<(Expr, usize)> {
         let line = self.line();
-        match self.peek().clone() {
+        let (kind, below) = match self.peek().clone() {
             Tok::Int(v) => {
                 self.next();
-                Ok(Expr {
-                    kind: ExprKind::Int(v),
-                    line,
-                })
+                (ExprKind::Int(v), 0)
             }
             Tok::Float(v) => {
                 self.next();
-                Ok(Expr {
-                    kind: ExprKind::Float(v),
-                    line,
-                })
+                (ExprKind::Float(v), 0)
             }
             Tok::Punct("(") => {
                 self.next();
-                let e = self.parse_expr()?;
+                let e = self.parse_sub()?;
                 self.expect_punct(")")?;
-                Ok(e)
+                return Ok(e);
             }
             Tok::Ident(name) => {
                 self.next();
-                // Type conversion `ty(expr)`.
-                if let Some(t) = scalar_ty(&name) {
-                    if matches!(self.peek(), Tok::Punct("(")) {
+                match (scalar_ty(&name), self.peek()) {
+                    // Type conversion `ty(expr)`.
+                    (Some(t), Tok::Punct("(")) => {
                         self.next();
-                        let e = self.parse_expr()?;
+                        let (e, h) = self.parse_sub()?;
                         self.expect_punct(")")?;
-                        return Ok(Expr {
-                            kind: ExprKind::Cast(t, Box::new(e)),
-                            line,
-                        });
+                        (ExprKind::Cast(t, Box::new(e)), h)
                     }
-                }
-                if matches!(self.peek(), Tok::Punct("(")) {
                     // Calls: syscall, intrinsic, or direct.
-                    let args = self.parse_args()?;
-                    if name == "syscall" {
-                        if args.is_empty() || args.len() > 6 {
-                            return self.err("syscall takes 1..=6 arguments");
+                    (_, Tok::Punct("(")) => {
+                        let (args, h) = self.parse_args()?;
+                        if name == "syscall" {
+                            if args.is_empty() || args.len() > 6 {
+                                return self.err("syscall takes 1..=6 arguments");
+                            }
+                            (ExprKind::Syscall(args), h)
+                        } else if let Some(i) = Intrinsic::by_name(&name) {
+                            (ExprKind::Intrinsic(i, args), h)
+                        } else {
+                            (ExprKind::Call(name, args), h)
                         }
-                        return Ok(Expr {
-                            kind: ExprKind::Syscall(args),
-                            line,
-                        });
                     }
-                    if let Some(i) = Intrinsic::by_name(&name) {
-                        return Ok(Expr {
-                            kind: ExprKind::Intrinsic(i, args),
-                            line,
-                        });
+                    (_, Tok::Punct("[")) => {
+                        self.next();
+                        let (idx, h) = self.parse_sub()?;
+                        self.expect_punct("]")?;
+                        if matches!(self.peek(), Tok::Punct("(")) {
+                            let (args, args_h) = self.parse_args()?;
+                            (
+                                ExprKind::IndirectCall(name, Box::new(idx), args),
+                                h.max(args_h),
+                            )
+                        } else {
+                            (ExprKind::Index(name, Box::new(idx)), h)
+                        }
                     }
-                    return Ok(Expr {
-                        kind: ExprKind::Call(name, args),
-                        line,
-                    });
+                    _ => (ExprKind::Var(name), 0),
                 }
-                if matches!(self.peek(), Tok::Punct("[")) {
-                    self.next();
-                    let idx = self.parse_expr()?;
-                    self.expect_punct("]")?;
-                    if matches!(self.peek(), Tok::Punct("(")) {
-                        let args = self.parse_args()?;
-                        return Ok(Expr {
-                            kind: ExprKind::IndirectCall(name, Box::new(idx), args),
-                            line,
-                        });
-                    }
-                    return Ok(Expr {
-                        kind: ExprKind::Index(name, Box::new(idx)),
-                        line,
-                    });
-                }
-                Ok(Expr {
-                    kind: ExprKind::Var(name),
-                    line,
-                })
             }
-            other => self.err(format!("expected expression, found {other}")),
-        }
+            other => return self.err(format!("expected expression, found {other}")),
+        };
+        Ok((Expr { kind, line }, below + 1))
     }
 
     // ----- statements --------------------------------------------------
 
+    /// A `{ … }` block, its statements one level below the current one.
     fn parse_block(&mut self) -> PResult<Vec<Stmt>> {
         self.expect_punct("{")?;
-        let mut stmts = Vec::new();
-        while !self.eat_punct("}") {
-            stmts.push(self.parse_stmt()?);
-        }
-        Ok(stmts)
+        self.nested(|p| {
+            let mut stmts = Vec::new();
+            while !p.eat_punct("}") {
+                stmts.push(p.parse_stmt()?);
+            }
+            Ok(stmts)
+        })
     }
 
     /// Desugars `x OP= e` to `x = x OP e`.
@@ -381,7 +401,8 @@ impl Parser {
                 if let Some(op) = Self::compound(p) {
                     self.next();
                     self.next();
-                    let rhs = self.parse_expr()?;
+                    // `x = x OP e` puts `e` one level down.
+                    let rhs = self.nested(Self::parse_expr)?;
                     let value = Expr {
                         kind: ExprKind::Binary(
                             op,
@@ -397,9 +418,10 @@ impl Parser {
                 }
                 if p == "[" {
                     // Could be `a[i] = e`, `a[i] OP= e`, or an expression
-                    // such as `tbl[i](args)`. Parse the postfix expression
-                    // and inspect what follows.
-                    let expr = self.parse_postfix()?;
+                    // such as `tbl[i](args)`. Parse the expression one level
+                    // down, where `a[i] = a[i] OP e` puts it, and inspect
+                    // what follows.
+                    let expr = self.nested(Self::parse_expr)?;
                     if let ExprKind::Index(array, index) = expr.kind.clone() {
                         if self.eat_punct("=") {
                             let value = self.parse_expr()?;
@@ -413,7 +435,7 @@ impl Parser {
                         if let Tok::Punct(q) = self.peek().clone() {
                             if let Some(op) = Self::compound(q) {
                                 self.next();
-                                let rhs = self.parse_expr()?;
+                                let rhs = self.nested(Self::parse_expr)?;
                                 let value = Expr {
                                     kind: ExprKind::Binary(op, Box::new(expr), Box::new(rhs)),
                                     line,
@@ -427,42 +449,11 @@ impl Parser {
                             }
                         }
                     }
-                    // Plain expression statement (e.g. indirect call) —
-                    // continue parsing any trailing binary operators.
-                    let full = self.continue_binary(expr)?;
-                    return Ok(Stmt::Expr(full));
+                    return Ok(Stmt::Expr(expr));
                 }
             }
         }
         Ok(Stmt::Expr(self.parse_expr()?))
-    }
-
-    /// Continues binary-operator parsing after an already-parsed primary
-    /// (used when statement parsing had to look ahead).
-    fn continue_binary(&mut self, lhs: Expr) -> PResult<Expr> {
-        // Re-run the precedence climb treating `lhs` as the deepest
-        // primary: cheapest correct approach is to check for any operator
-        // and rebuild.
-        let mut e = lhs;
-        loop {
-            let mut matched = false;
-            for level in (0..=9u8).rev() {
-                if let Some((op, _)) = self.binop_at(level) {
-                    let line = self.line();
-                    self.next();
-                    let rhs = self.parse_binary(level + 1)?;
-                    e = Expr {
-                        kind: ExprKind::Binary(op, Box::new(e), Box::new(rhs)),
-                        line,
-                    };
-                    matched = true;
-                    break;
-                }
-            }
-            if !matched {
-                return Ok(e);
-            }
-        }
     }
 
     fn parse_stmt(&mut self) -> PResult<Stmt> {
@@ -491,7 +482,7 @@ impl Parser {
             let then_body = self.parse_block()?;
             let else_body = if self.eat_kw("else") {
                 if matches!(self.peek(), Tok::Ident(s) if s == "if") {
-                    vec![self.parse_stmt()?]
+                    vec![self.nested(Self::parse_stmt)?]
                 } else {
                     self.parse_block()?
                 }
@@ -519,11 +510,13 @@ impl Parser {
             return Ok(Stmt::DoWhile(body, cond));
         }
         if self.eat_kw("for") {
+            // Desugared below: `init` and the loop sit one level under
+            // the `for`, and `cond`, the body and `step` two levels.
             self.expect_punct("(")?;
             let init = if matches!(self.peek(), Tok::Punct(";")) {
                 None
             } else {
-                Some(self.parse_simple()?)
+                Some(self.nested(Self::parse_simple)?)
             };
             self.expect_punct(";")?;
             let cond = if matches!(self.peek(), Tok::Punct(";")) {
@@ -532,16 +525,16 @@ impl Parser {
                     line,
                 }
             } else {
-                self.parse_expr()?
+                self.nested(Self::parse_expr)?
             };
             self.expect_punct(";")?;
             let step = if matches!(self.peek(), Tok::Punct(")")) {
                 None
             } else {
-                Some(self.parse_simple()?)
+                Some(self.nested(|p| p.nested(Self::parse_simple))?)
             };
             self.expect_punct(")")?;
-            let mut body = self.parse_block()?;
+            let mut body = self.nested(Self::parse_block)?;
             // Desugar: { init; while (cond) { body; step; } }
             // NOTE: `continue` inside a desugared `for` re-tests the
             // condition without running the step, as documented in the
@@ -711,7 +704,11 @@ impl Parser {
 /// Parses CLite source text into an AST.
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.parse_program()
 }
 

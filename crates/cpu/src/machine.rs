@@ -105,18 +105,15 @@ pub struct RunOutcome {
     pub counters: PerfCounters,
 }
 
-/// Which interpreter loop [`Machine::run`] drives. All paths produce
+/// Which interpreter loop [`Machine::run`] drives. Both produce
 /// byte-identical observables (results, traps, counters); the threaded
-/// superblock engine is the fastest and is the default. Profiled runs
+/// superblock engine is the fast one and is the default. Profiled runs
 /// always take the legacy path so per-instruction attribution stays exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Direct-threaded function-pointer dispatch over superblocks with
     /// batched fuel/cycle/fetch accounting (the default).
     Threaded,
-    /// Flat micro-op stream dispatched through a `match`, fuel charged per
-    /// basic block.
-    Predecoded,
     /// The original per-instruction interpreter, used as the differential
     /// reference and by the profiler.
     Legacy,
@@ -146,10 +143,8 @@ pub struct Machine<'m, H: HostEnv> {
     /// Per-address cycle attribution; `None` (the default) records nothing
     /// and keeps the hot loop free of bookkeeping.
     profile: Option<Box<CycleProfile>>,
-    /// The module lowered once into flat micro-op blocks.
-    pre: Arc<Predecoded>,
     /// The superblock program the threaded engine dispatches over, built
-    /// lazily from `pre` on the first threaded run.
+    /// lazily on the first threaded run.
     threaded: Option<Arc<Threaded>>,
     /// Per-function, per-op handler tables for threaded dispatch,
     /// index-aligned with [`Threaded::funcs`] / [`FuncThreaded::tops`].
@@ -202,8 +197,6 @@ impl<'m, H: HostEnv> Machine<'m, H> {
         }
         let mut regs = [0u64; 16];
         regs[Reg::Rsp.index()] = total - 16;
-        let icache = Cache::l1();
-        let pre = Arc::new(Predecoded::new(module, &timing, icache.line_bytes()));
         Machine {
             module,
             mem,
@@ -211,7 +204,7 @@ impl<'m, H: HostEnv> Machine<'m, H> {
             xmm: [0; 16],
             flags: Flags::default(),
             counters: PerfCounters::default(),
-            icache,
+            icache: Cache::l1(),
             dcache: Cache::l1(),
             predictor: BranchPredictor::default(),
             timing,
@@ -222,7 +215,6 @@ impl<'m, H: HostEnv> Machine<'m, H> {
             stack_floor: module.memory_size,
             max_call_depth: 100_000,
             profile: None,
-            pre,
             threaded: None,
             thandlers: None,
             exec_mode: ExecMode::Threaded,
@@ -541,7 +533,7 @@ impl<'m, H: HostEnv> Machine<'m, H> {
     ///
     /// Dispatches to the threaded superblock engine unless profiling is
     /// enabled (always legacy, for exact attribution) or
-    /// [`Machine::set_exec_mode`] selected another tier; all paths produce
+    /// [`Machine::set_exec_mode`] selected the legacy loop; both produce
     /// identical observables.
     pub fn run(&mut self, entry: FuncId, args: &[u64], fuel: u64) -> Result<RunOutcome, ExecError> {
         assert!(args.len() <= 6, "at most 6 register arguments");
@@ -550,8 +542,6 @@ impl<'m, H: HostEnv> Machine<'m, H> {
         }
         if self.profile.is_some() || self.exec_mode == ExecMode::Legacy {
             self.run_legacy(entry, fuel)
-        } else if self.exec_mode == ExecMode::Predecoded {
-            self.run_predecoded(entry, fuel)
         } else {
             self.run_threaded(entry, fuel)
         }
@@ -560,7 +550,7 @@ impl<'m, H: HostEnv> Machine<'m, H> {
     /// The legacy per-instruction interpreter: re-derives lengths, classes,
     /// and costs from the [`Module`] each step and carries the profiler
     /// hooks, so `wasmperf-trace` attribution is exact. Kept as the
-    /// reference the predecoded engine is differentially tested against.
+    /// reference the threaded engine is differentially tested against.
     fn run_legacy(&mut self, entry: FuncId, fuel: u64) -> Result<RunOutcome, ExecError> {
         let mut func = entry.0;
         let mut pc: usize = 0;
@@ -832,292 +822,16 @@ impl<'m, H: HostEnv> Machine<'m, H> {
         }
     }
 
-    /// The predecoded block engine: drives the [`Predecoded`] micro-op
-    /// stream, charging fuel per basic block and using the baked-in
-    /// addresses, straddle flags, issue costs, and resolved branch targets.
-    /// It performs the same cache probes, counter updates, and
-    /// architectural effects in the same order as [`Machine::run_legacy`];
-    /// the differential tests hold the two byte-identical.
-    fn run_predecoded(&mut self, entry: FuncId, fuel: u64) -> Result<RunOutcome, ExecError> {
-        let pre = Arc::clone(&self.pre);
-        let icache_penalty = self.timing.icache_miss_penalty as u64;
-        let mispredict_penalty = self.timing.mispredict_penalty as u64;
-        let mut func = entry.0;
-        let mut pc: usize = 0;
-        let mut remaining = fuel;
-
-        'blocks: loop {
-            let fd = &pre.funcs[func as usize];
-            if pc >= fd.uops.len() {
-                return Err(self.err(TrapKind::Abort, func, pc, "fell off end of function"));
-            }
-            let blen = fd.block_len[pc] as u64;
-            debug_assert!(blen > 0, "control must enter blocks at their leader");
-            // The common case charges the whole block's fuel on entry; the
-            // tail of a run (fewer than `blen` units left) falls back to
-            // per-instruction checks so the out-of-fuel pc stays exact.
-            let batched = remaining >= blen;
-            if batched {
-                remaining -= blen;
-            }
-            let end = pc + blen as usize;
-            while pc < end {
-                if !batched {
-                    if remaining == 0 {
-                        return Err(self.err(TrapKind::OutOfFuel, func, pc, ""));
-                    }
-                    remaining -= 1;
-                }
-                let u = &fd.uops[pc];
-                if !self.icache.access(u.addr) {
-                    self.cycle_fp += icache_penalty;
-                }
-                if u.straddles && !self.icache.access(u.last_byte) {
-                    self.cycle_fp += icache_penalty;
-                }
-                self.counters.retire(1);
-                // Issue cost is absorbed by any outstanding miss shadow.
-                self.cycle_fp += absorb(&mut self.stall_credit_fp, u.cost as u64);
-
-                macro_rules! trap {
-                    ($k:expr, $d:expr) => {
-                        return Err(self.err($k, func, pc, $d))
-                    };
-                }
-                macro_rules! step {
-                    ($r:expr) => {
-                        if let Err((k, d)) = $r {
-                            trap!(k, d)
-                        }
-                    };
-                }
-
-                match &u.op {
-                    MOp::Mov { dst, src, width } => step!(self.exec_mov(dst, src, *width)),
-                    MOp::Movzx { dst, src, from } => step!(self.exec_movzx(*dst, src, *from)),
-                    MOp::Movsx { dst, src, from, to } => {
-                        step!(self.exec_movsx(*dst, src, *from, *to))
-                    }
-                    MOp::Lea { dst, mem, width } => self.exec_lea(*dst, mem, *width),
-                    MOp::Alu {
-                        op,
-                        dst,
-                        src,
-                        width,
-                    } => step!(self.exec_alu(*op, dst, src, *width)),
-                    MOp::Neg { dst, width } => step!(self.exec_neg(dst, *width)),
-                    MOp::Not { dst, width } => step!(self.exec_not(dst, *width)),
-                    MOp::Imul { dst, src, width } => step!(self.exec_imul(*dst, src, *width)),
-                    MOp::Imul3 {
-                        dst,
-                        src,
-                        imm,
-                        width,
-                    } => step!(self.exec_imul3(*dst, src, *imm, *width)),
-                    MOp::Cqo { width } => self.exec_cqo(*width),
-                    MOp::Div { src, signed, width } => step!(self.exec_div(src, *signed, *width)),
-                    MOp::Cmp { lhs, rhs, width } => step!(self.exec_cmp(lhs, rhs, *width)),
-                    MOp::Test { lhs, rhs, width } => step!(self.exec_test(lhs, rhs, *width)),
-                    MOp::Cmov {
-                        cc,
-                        dst,
-                        src,
-                        width,
-                    } => step!(self.exec_cmov(*cc, *dst, src, *width)),
-                    MOp::Setcc { cc, dst } => self.exec_setcc(*cc, *dst),
-                    MOp::Lzcnt { dst, src, width } => step!(self.exec_lzcnt(*dst, src, *width)),
-                    MOp::Tzcnt { dst, src, width } => step!(self.exec_tzcnt(*dst, src, *width)),
-                    MOp::Popcnt { dst, src, width } => step!(self.exec_popcnt(*dst, src, *width)),
-                    MOp::Jmp { target } => {
-                        self.counters.branches_retired += 1;
-                        pc = *target as usize;
-                        continue 'blocks;
-                    }
-                    MOp::Jcc { cc, target } => {
-                        self.counters.branches_retired += 1;
-                        self.counters.cond_branches_retired += 1;
-                        let taken = self.cond(*cc);
-                        if self.predictor.predict_and_update(u.addr, taken) {
-                            self.cycle_fp += mispredict_penalty;
-                        }
-                        if taken {
-                            pc = *target as usize;
-                            continue 'blocks;
-                        }
-                        // Not taken: a Jcc ends its block, so `pc + 1 ==
-                        // end` and the outer loop re-enters at the
-                        // fall-through leader.
-                    }
-                    MOp::Call { target } => {
-                        self.counters.branches_retired += 1;
-                        if self.call_stack.len() >= self.max_call_depth {
-                            trap!(TrapKind::StackOverflow, "call depth");
-                        }
-                        if target.0 as usize >= self.module.funcs.len() {
-                            trap!(TrapKind::Abort, "call to unknown function");
-                        }
-                        let ret_pc = pc + 1;
-                        step!(self.push_val_raw(RET_TOKEN | ret_pc as u64));
-                        self.call_stack.push(Frame {
-                            func,
-                            ret_pc: ret_pc as u32,
-                            rsp_at_call: self.regs[Reg::Rsp.index()],
-                        });
-                        func = target.0;
-                        pc = 0;
-                        continue 'blocks;
-                    }
-                    MOp::CallIndirect { target } => {
-                        self.counters.branches_retired += 1;
-                        let v = match self.read_op(target, Width::W64) {
-                            Ok(v) => v,
-                            Err(k) => trap!(k, "call-indirect operand"),
-                        };
-                        if v as usize >= self.module.funcs.len() {
-                            trap!(
-                                TrapKind::IndirectCallOutOfBounds,
-                                format!("bad function id {v:#x}")
-                            );
-                        }
-                        if self.call_stack.len() >= self.max_call_depth {
-                            trap!(TrapKind::StackOverflow, "call depth");
-                        }
-                        let ret_pc = pc + 1;
-                        step!(self.push_val_raw(RET_TOKEN | ret_pc as u64));
-                        self.call_stack.push(Frame {
-                            func,
-                            ret_pc: ret_pc as u32,
-                            rsp_at_call: self.regs[Reg::Rsp.index()],
-                        });
-                        func = v as u32;
-                        pc = 0;
-                        continue 'blocks;
-                    }
-                    MOp::CallHost { id } => {
-                        self.counters.branches_retired += 1;
-                        self.counters.host_calls += 1;
-                        self.cycle_fp += self.pku_fp;
-                        let args = [
-                            self.regs[Reg::Rdi.index()],
-                            self.regs[Reg::Rsi.index()],
-                            self.regs[Reg::Rdx.index()],
-                            self.regs[Reg::Rcx.index()],
-                            self.regs[Reg::R8.index()],
-                            self.regs[Reg::R9.index()],
-                        ];
-                        match self.host.call(*id, &args, &mut self.mem) {
-                            Ok(HostOutcome::Ret {
-                                value,
-                                kernel_cycles,
-                            }) => {
-                                self.regs[Reg::Rax.index()] = value;
-                                self.counters.host_cycles += kernel_cycles;
-                            }
-                            Ok(HostOutcome::Exit {
-                                code,
-                                kernel_cycles,
-                            }) => {
-                                self.counters.host_cycles += kernel_cycles;
-                                return Ok(RunOutcome {
-                                    ret: self.regs[Reg::Rax.index()],
-                                    exit_code: Some(code),
-                                    counters: self.counters(),
-                                });
-                            }
-                            Err(k) => trap!(k, format!("host call {id}")),
-                        }
-                    }
-                    MOp::Push { src } => {
-                        let v = match self.read_op(src, Width::W64) {
-                            Ok(v) => v,
-                            Err(k) => trap!(k, "push src"),
-                        };
-                        step!(self.push_val_raw(v));
-                    }
-                    MOp::Pop { dst } => step!(self.exec_pop(*dst)),
-                    MOp::Ret => {
-                        self.counters.branches_retired += 1;
-                        let rsp = self.regs[Reg::Rsp.index()];
-                        if let Err(k) = self.dread(rsp, Width::W64) {
-                            trap!(k, "ret pop");
-                        }
-                        self.regs[Reg::Rsp.index()] = rsp + 8;
-                        match self.call_stack.pop() {
-                            Some(frame) => {
-                                if frame.rsp_at_call != rsp {
-                                    trap!(
-                                        TrapKind::Abort,
-                                        format!(
-                                            "rsp mismatch on ret: {:#x} != {:#x}",
-                                            rsp, frame.rsp_at_call
-                                        )
-                                    );
-                                }
-                                func = frame.func;
-                                pc = frame.ret_pc as usize;
-                                continue 'blocks;
-                            }
-                            None => {
-                                return Ok(RunOutcome {
-                                    ret: self.regs[Reg::Rax.index()],
-                                    exit_code: None,
-                                    counters: self.counters(),
-                                });
-                            }
-                        }
-                    }
-                    MOp::MovF { dst, src, prec } => step!(self.exec_movf(dst, src, *prec)),
-                    MOp::AluF { op, dst, src, prec } => {
-                        step!(self.exec_aluf(*op, *dst, src, *prec))
-                    }
-                    MOp::RoundF {
-                        dst,
-                        src,
-                        prec,
-                        mode,
-                    } => step!(self.exec_roundf(*dst, src, *prec, *mode)),
-                    MOp::AbsF { dst, src, prec } => step!(self.exec_absf(*dst, src, *prec)),
-                    MOp::SqrtF { dst, src, prec } => step!(self.exec_sqrtf(*dst, src, *prec)),
-                    MOp::Ucomis { lhs, rhs, prec } => step!(self.exec_ucomis(*lhs, rhs, *prec)),
-                    MOp::CvtIntToF {
-                        dst,
-                        src,
-                        width,
-                        prec,
-                        unsigned,
-                    } => step!(self.exec_cvt_int_to_f(*dst, src, *width, *prec, *unsigned)),
-                    MOp::CvtFToInt {
-                        dst,
-                        src,
-                        width,
-                        prec,
-                        unsigned,
-                    } => step!(self.exec_cvt_f_to_int(*dst, src, *width, *prec, *unsigned)),
-                    MOp::CvtFToF { dst, src, from } => {
-                        step!(self.exec_cvt_f_to_f(*dst, src, *from))
-                    }
-                    MOp::MovGprToXmm { dst, src, width } => {
-                        self.exec_mov_gpr_to_xmm(*dst, *src, *width)
-                    }
-                    MOp::MovXmmToGpr { dst, src, width } => {
-                        self.exec_mov_xmm_to_gpr(*dst, *src, *width)
-                    }
-                    MOp::Trap { kind } => trap!(*kind, "explicit trap"),
-                    MOp::Nop => {}
-                }
-                pc += 1;
-            }
-            // Fell through the block's end: `pc == end` is the next leader.
-        }
-    }
-
     /// Builds (once) the superblock program and the per-op handler tables
-    /// the threaded engine dispatches over.
+    /// the threaded engine dispatches over. The [`Predecoded`] stream they
+    /// are formed from is needed only while building them.
     fn ensure_threaded(&mut self) {
         if self.threaded.is_some() {
             return;
         }
-        let th = Arc::new(Threaded::new(&self.pre, self.icache.line_bytes()));
+        let line = self.icache.line_bytes();
+        let pre = Predecoded::new(self.module, &self.timing, line);
+        let th = Arc::new(Threaded::new(&pre, line));
         let tables: Vec<Vec<Handler<H>>> = th
             .funcs
             .iter()
@@ -3339,27 +3053,22 @@ mod tests {
         let m = call_loop_module();
         let (leg_res, leg_ctr) = observe_mode(&m, ExecMode::Legacy, &[100], 1_000_000);
         assert_eq!(leg_res.as_ref().expect("runs").0, 5050);
-        for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-            let (res, ctr) = observe_mode(&m, mode, &[100], 1_000_000);
-            assert_eq!(res, leg_res, "{mode:?}");
-            assert_eq!(ctr, leg_ctr, "{mode:?}");
-        }
+        let (res, ctr) = observe_mode(&m, ExecMode::Threaded, &[100], 1_000_000);
+        assert_eq!(res, leg_res);
+        assert_eq!(ctr, leg_ctr);
     }
 
     #[test]
     fn out_of_fuel_location_and_counters_match_across_modes() {
-        // Fuel runs out mid-block (predecoded) or mid-superblock
-        // (threaded); the trap must still name the exact instruction the
-        // legacy path reports.
+        // Fuel runs out mid-superblock; the threaded trap must still name
+        // the exact instruction the legacy path reports.
         let m = call_loop_module();
         for fuel in [0, 1, 7, 100, 1234] {
             let (leg_res, leg_ctr) = observe_mode(&m, ExecMode::Legacy, &[u64::MAX], fuel);
             assert_eq!(leg_res.as_ref().unwrap_err().kind, TrapKind::OutOfFuel);
-            for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-                let (res, ctr) = observe_mode(&m, mode, &[u64::MAX], fuel);
-                assert_eq!(res, leg_res, "{mode:?} fuel {fuel}");
-                assert_eq!(ctr, leg_ctr, "{mode:?} fuel {fuel}");
-            }
+            let (res, ctr) = observe_mode(&m, ExecMode::Threaded, &[u64::MAX], fuel);
+            assert_eq!(res, leg_res, "fuel {fuel}");
+            assert_eq!(ctr, leg_ctr, "fuel {fuel}");
         }
     }
 
@@ -3413,8 +3122,8 @@ mod tests {
         // Regression test for fuel/trap accounting at superblock seams:
         // exhaust fuel at *every* offset of a run whose hot loop is one
         // merged superblock with a taken side exit, and require the exact
-        // legacy trap location and counters from every tier. This fails if
-        // a batched tier forgets to roll back the unexecuted superblock
+        // legacy trap location and counters from the threaded tier. This
+        // fails if it forgets to roll back the unexecuted superblock
         // tail on side exits (fuel consumed would outrun instructions
         // retired, reporting out-of-fuel early and at the wrong pc).
         for m in [superblock_loop_module(), call_loop_module()] {
@@ -3434,11 +3143,9 @@ mod tests {
                 } else {
                     assert_eq!(leg_res, full_res);
                 }
-                for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-                    let (res, ctr) = observe_mode(&m, mode, args, fuel);
-                    assert_eq!(res, leg_res, "{mode:?} fuel {fuel}");
-                    assert_eq!(ctr, leg_ctr, "{mode:?} fuel {fuel}");
-                }
+                let (res, ctr) = observe_mode(&m, ExecMode::Threaded, args, fuel);
+                assert_eq!(res, leg_res, "fuel {fuel}");
+                assert_eq!(ctr, leg_ctr, "fuel {fuel}");
             }
         }
     }
@@ -3466,11 +3173,9 @@ mod tests {
         let err = leg_res.as_ref().unwrap_err();
         assert_eq!(err.kind, TrapKind::Abort);
         assert_eq!(err.pc, 3);
-        for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-            let (res, ctr) = observe_mode(&m, mode, &[0], 1000);
-            assert_eq!(res, leg_res, "{mode:?}");
-            assert_eq!(ctr, leg_ctr, "{mode:?}");
-        }
+        let (res, ctr) = observe_mode(&m, ExecMode::Threaded, &[0], 1000);
+        assert_eq!(res, leg_res);
+        assert_eq!(ctr, leg_ctr);
     }
 
     #[test]
@@ -3502,24 +3207,20 @@ mod tests {
         let err = leg_res.as_ref().unwrap_err();
         assert_eq!(err.kind, TrapKind::Unreachable);
         assert_eq!(err.pc, 3);
-        for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-            let (res, ctr) = observe_mode(&m, mode, &[], 1000);
-            assert_eq!(res, leg_res, "{mode:?}");
-            assert_eq!(ctr, leg_ctr, "{mode:?}");
-        }
+        let (res, ctr) = observe_mode(&m, ExecMode::Threaded, &[], 1000);
+        assert_eq!(res, leg_res);
+        assert_eq!(ctr, leg_ctr);
     }
 
     #[test]
     fn every_variant_agrees_across_modes() {
         // The predecode tests build a module with one of every
-        // instruction; run it under all three modes and require identical
+        // instruction; run it under both modes and require identical
         // observables, whatever they are.
         let m = crate::predecode::tests::every_variant_module();
         let (leg_res, leg_ctr) = observe_mode(&m, ExecMode::Legacy, &[1, 2], 100_000);
-        for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-            let (res, ctr) = observe_mode(&m, mode, &[1, 2], 100_000);
-            assert_eq!(res, leg_res, "{mode:?}");
-            assert_eq!(ctr, leg_ctr, "{mode:?}");
-        }
+        let (res, ctr) = observe_mode(&m, ExecMode::Threaded, &[1, 2], 100_000);
+        assert_eq!(res, leg_res);
+        assert_eq!(ctr, leg_ctr);
     }
 }

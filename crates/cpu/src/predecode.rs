@@ -5,20 +5,14 @@
 //! register-list `Vec` per call), the I-cache line-straddle test, and — for
 //! branches — the label resolution. All of that is a pure function of the
 //! module and the timing model, so [`Predecoded`] computes it exactly once
-//! per function at machine-construction time and bakes the results into a
-//! flat stream of [`UOp`]s.
+//! per function and bakes the results into a flat stream of [`UOp`]s.
 //!
 //! The stream is additionally partitioned into basic blocks
-//! ([`FuncPre::block_len`]) so the hot loop can charge fuel per block edge
-//! instead of per instruction. Block boundaries fall after every
+//! ([`FuncPre::block_len`]). Block boundaries fall after every
 //! control-transfer instruction ([`Inst::ends_block`]) and before every
 //! branch target, so control only ever enters a block at its leader.
-//!
-//! Predecoding is a *representation* change, not a semantics change: the
-//! executor driven by this stream performs the same cache probes, counter
-//! updates, and architectural effects in the same order as the legacy
-//! per-instruction path. `machine.rs` keeps both loops and the differential
-//! tests hold them byte-identical.
+//! [`crate::threaded`] merges these blocks into the superblocks the
+//! threaded engine dispatches over; nothing executes this stream directly.
 
 use crate::timing::TimingModel;
 use wasmperf_isa::inst::FOperand;
@@ -365,8 +359,9 @@ pub struct FuncPre {
     /// Micro-ops, index-aligned with the function's instructions.
     pub uops: Vec<UOp>,
     /// `block_len[pc]` is the length of the basic block starting at `pc`
-    /// when `pc` is a block leader, and 0 otherwise. The executor only
-    /// consults leader entries: control always enters blocks at the top.
+    /// when `pc` is a block leader, and 0 otherwise. Superblock formation
+    /// only consults leader entries: control always enters blocks at the
+    /// top.
     pub block_len: Vec<u32>,
 }
 

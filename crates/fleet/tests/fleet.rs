@@ -475,3 +475,33 @@ fn fleet_binary_up_route_run_drain() {
     let exit = child.wait().unwrap();
     assert!(exit.success(), "fleet exited {exit:?} after drain");
 }
+
+#[test]
+fn deeply_nested_json_is_400_at_router_and_shard() {
+    let (h0, s0) = shard("shard-0", None);
+    let shard_addr = s0.addr.clone();
+    let (rh, raddr) = router_over(vec![s0]);
+    wait_live(&raddr, 1);
+
+    // 100,000 `[` bytes once overflowed the JSON parser's stack in both
+    // the router and the shard, aborting each process.
+    let hostile = "[".repeat(100_000);
+    let limit = format!("deeper than {} levels", wasmperf_trace::json::MAX_DEPTH);
+    for addr in [&raddr, &shard_addr] {
+        let mut c = Client::connect(addr).unwrap();
+        let resp = c.request("POST", "/run", hostile.as_bytes()).unwrap();
+        assert_eq!(resp.status, 400, "{addr}");
+        let body = resp.body_json().unwrap();
+        let err = body.get("error").and_then(Json::as_str).unwrap();
+        assert!(err.contains(&limit), "{addr}: {err}");
+    }
+
+    // Both processes survived: a normal run through the router succeeds.
+    let mut c = Client::connect(&raddr).unwrap();
+    let resp = c.post_json("/run", &run_body("gemm", "native")).unwrap();
+    assert_eq!(resp.status, 200);
+
+    rh.shutdown();
+    rh.join();
+    h0.join();
+}

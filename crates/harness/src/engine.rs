@@ -20,7 +20,7 @@ use wasmperf_cpu::{ExecMode, HostEnv, HostOutcome, Machine, Memory, PerfCounters
 use wasmperf_farm::hash::fnv1a;
 use wasmperf_isa::{Module, TrapKind};
 use wasmperf_replay::{Recorder, Recording, ReplayKernel};
-use wasmperf_trace::{SpanLog, StraceLog, SymbolMap, TraceConfig, TraceSession};
+use wasmperf_trace::{CycleProfile, SpanLog, StraceLog, SymbolMap, TraceConfig, TraceSession};
 use wasmperf_wasmjit::{EngineProfile, SandboxModel, Tier, PKU_SWITCH_CYCLES};
 
 use crate::error::Error;
@@ -282,43 +282,7 @@ pub fn execute(
     artifact: &Artifact,
     policy: AppendPolicy,
 ) -> Result<RunResult, Error> {
-    execute_traced(
-        bench,
-        engine,
-        artifact,
-        None,
-        policy,
-        TraceConfig::off(),
-        None,
-    )
-    .map(|(r, _)| r)
-}
-
-/// [`execute`] pinned to a specific interpreter loop. `wasmperf-bench`
-/// uses this to time the threaded and predecoded engines against the
-/// legacy reference on identical workloads; results must match byte for
-/// byte.
-pub fn execute_with_mode(
-    bench: &Benchmark,
-    engine: &Engine,
-    artifact: &Artifact,
-    policy: AppendPolicy,
-    mode: ExecMode,
-) -> Result<RunResult, Error> {
-    execute_inner(bench, engine, artifact, policy, mode, DEFAULT_FUEL)
-}
-
-/// [`execute_with_mode`] with an explicit fuel budget, for differential
-/// tests that exercise out-of-fuel traps under every interpreter loop.
-pub fn execute_with_mode_and_fuel(
-    bench: &Benchmark,
-    engine: &Engine,
-    artifact: &Artifact,
-    policy: AppendPolicy,
-    mode: ExecMode,
-    fuel: u64,
-) -> Result<RunResult, Error> {
-    execute_inner(bench, engine, artifact, policy, mode, fuel)
+    execute_with_fuel(bench, engine, artifact, policy, DEFAULT_FUEL)
 }
 
 /// [`execute`] with an explicit fuel budget. A run that exhausts `fuel`
@@ -331,126 +295,13 @@ pub fn execute_with_fuel(
     policy: AppendPolicy,
     fuel: u64,
 ) -> Result<RunResult, Error> {
-    execute_inner(bench, engine, artifact, policy, ExecMode::Threaded, fuel)
+    execute_with_mode_and_fuel(bench, engine, artifact, policy, ExecMode::Threaded, fuel)
 }
 
-/// The host behind one execution: a live Browsix kernel, or a replay
-/// kernel answering syscalls from a recording ([`Suite::Replay`]
-/// benchmarks).
-///
-/// [`Suite::Replay`]: wasmperf_benchsuite::Suite::Replay
-enum RunHost {
-    Live(Box<Kernel>),
-    Replay(ReplayKernel),
-}
-
-impl RunHost {
-    /// Builds the host for `bench`: a replay kernel when the benchmark
-    /// carries a recording, else a fresh kernel with inputs staged.
-    fn for_bench(
-        bench: &Benchmark,
-        policy: AppendPolicy,
-        strace: bool,
-        exec_err: &impl Fn(String) -> Error,
-    ) -> Result<RunHost, Error> {
-        if let Some(rec) = &bench.replay {
-            let mut k = ReplayKernel::new(rec.clone());
-            if strace {
-                k.strace = Some(StraceLog::default());
-            }
-            return Ok(RunHost::Replay(k));
-        }
-        let mut kernel = Kernel::new(policy);
-        if strace {
-            kernel.strace = Some(StraceLog::default());
-        }
-        for (path, data) in &bench.inputs {
-            kernel
-                .fs
-                .write_all(path, data)
-                .map_err(|e| exec_err(format!("staging {path}: {e:?}")))?;
-        }
-        Ok(RunHost::Live(Box::new(kernel)))
-    }
-
-    fn stats(&self) -> &KernelStats {
-        match self {
-            RunHost::Live(k) => &k.stats,
-            RunHost::Replay(k) => &k.stats,
-        }
-    }
-
-    fn take_strace(&mut self) -> Option<StraceLog> {
-        match self {
-            RunHost::Live(k) => k.strace.take(),
-            RunHost::Replay(k) => k.strace.take(),
-        }
-    }
-
-    /// Post-run validation and output collection. A replay host must have
-    /// consumed its recording exactly and reproduced the recorded
-    /// checksum; a live host yields the benchmark's declared output
-    /// files.
-    fn finish(
-        &self,
-        bench: &Benchmark,
-        checksum: i32,
-        exec_err: &impl Fn(String) -> Error,
-    ) -> Result<Vec<(String, Vec<u8>)>, Error> {
-        match self {
-            RunHost::Replay(k) => {
-                k.finish().map_err(|e| exec_err(e.to_string()))?;
-                let rec = bench
-                    .replay
-                    .as_ref()
-                    .expect("replay host without recording");
-                if checksum != rec.checksum {
-                    return Err(exec_err(format!(
-                        "replay checksum {checksum} != recorded {}",
-                        rec.checksum
-                    )));
-                }
-                Ok(Vec::new())
-            }
-            RunHost::Live(kernel) => {
-                let mut outputs = Vec::new();
-                for path in &bench.outputs {
-                    let data = kernel
-                        .fs
-                        .read_all(path)
-                        .map_err(|e| exec_err(format!("output {path}: {e:?}")))?;
-                    outputs.push((path.clone(), data));
-                }
-                Ok(outputs)
-            }
-        }
-    }
-
-    /// The divergence message, if this is a replay host that strayed
-    /// from its recording (the cause behind an `Abort` trap).
-    fn divergence(&self) -> Option<&str> {
-        match self {
-            RunHost::Live(_) => None,
-            RunHost::Replay(k) => k.divergence(),
-        }
-    }
-}
-
-impl HostEnv for RunHost {
-    fn call(
-        &mut self,
-        id: u32,
-        args: &[u64; 6],
-        mem: &mut Memory,
-    ) -> Result<HostOutcome, TrapKind> {
-        match self {
-            RunHost::Live(k) => k.call(id, args, mem),
-            RunHost::Replay(k) => k.call(id, args, mem),
-        }
-    }
-}
-
-fn execute_inner(
+/// [`execute_with_fuel`] pinned to a specific interpreter loop, for the
+/// differential tests that hold the threaded loop byte-identical to the
+/// legacy reference, out-of-fuel traps included.
+pub fn execute_with_mode_and_fuel(
     bench: &Benchmark,
     engine: &Engine,
     artifact: &Artifact,
@@ -458,48 +309,8 @@ fn execute_inner(
     mode: ExecMode,
     fuel: u64,
 ) -> Result<RunResult, Error> {
-    let exec_err = |message: String| Error::Exec {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        message,
-    };
-
-    let module = &artifact.module;
-    let host = RunHost::for_bench(bench, policy, false, &exec_err)?;
-
-    let entry = module.entry.ok_or_else(|| exec_err("no main".into()))?;
-    let mut machine = Machine::new(module, host);
-    machine.set_exec_mode(mode);
-    let run = machine.run(entry, &[], fuel);
-    let host = machine.into_host();
-    let out = run.map_err(|e| {
-        if e.kind == TrapKind::OutOfFuel {
-            Error::OutOfFuel {
-                bench: bench.name.to_string(),
-                engine: engine.name(),
-                fuel,
-            }
-        } else if let Some(msg) = host.divergence() {
-            exec_err(format!("replay divergence: {msg}"))
-        } else {
-            exec_err(format!("{e:?}"))
-        }
-    })?;
-
-    let checksum = out.ret as u32 as i32;
-    let outputs = host.finish(bench, checksum, &exec_err)?;
-
-    Ok(RunResult {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        checksum,
-        counters: out.counters,
-        kernel_syscalls: host.stats().syscalls,
-        kernel_bytes: host.stats().bytes_marshalled,
-        outputs,
-        compile_cycles: artifact.compile_cycles,
-        code_bytes: module.code_bytes(),
-    })
+    let host = RunHost::for_bench(bench, engine, policy, false)?;
+    run(bench, engine, artifact, host, mode, fuel, false).map(|(result, _, _)| result)
 }
 
 /// Runs `bench` natively while recording its complete nondeterminism
@@ -514,49 +325,20 @@ pub fn execute_recorded(
     size: Size,
 ) -> Result<(RunResult, Recording), Error> {
     let engine = Engine::Native;
-    let exec_err = |message: String| Error::Exec {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        message,
-    };
-
-    let module = &artifact.module;
     let mut recorder = Recorder::new(policy);
-    for (path, data) in &bench.inputs {
-        recorder
-            .kernel
-            .fs
-            .write_all(path, data)
-            .map_err(|e| exec_err(format!("staging {path}: {e:?}")))?;
-    }
-
-    let entry = module.entry.ok_or_else(|| exec_err("no main".into()))?;
-    let mut machine = Machine::new(module, recorder);
-    let out = machine
-        .run(entry, &[], DEFAULT_FUEL)
-        .map_err(|e| exec_err(format!("{e:?}")))?;
-    let recorder = machine.into_host();
-
-    let mut outputs = Vec::new();
-    for path in &bench.outputs {
-        let data = recorder
-            .kernel
-            .fs
-            .read_all(path)
-            .map_err(|e| exec_err(format!("output {path}: {e:?}")))?;
-        outputs.push((path.clone(), data));
-    }
-
-    let result = RunResult {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        checksum: out.ret as u32 as i32,
-        counters: out.counters,
-        kernel_syscalls: recorder.kernel.stats.syscalls,
-        kernel_bytes: recorder.kernel.stats.bytes_marshalled,
-        outputs,
-        compile_cycles: artifact.compile_cycles,
-        code_bytes: module.code_bytes(),
+    stage_inputs(&mut recorder.kernel, bench, &engine)?;
+    let host = RunHost::Record(Box::new(recorder));
+    let (result, host, _) = run(
+        bench,
+        &engine,
+        artifact,
+        host,
+        ExecMode::Threaded,
+        DEFAULT_FUEL,
+        false,
+    )?;
+    let RunHost::Record(recorder) = host else {
+        unreachable!("run returns the host it was given");
     };
     let recording = recorder
         .into_recording(
@@ -566,98 +348,8 @@ pub fn execute_recorded(
             bench.inputs.clone(),
             result.checksum,
         )
-        .map_err(|e| exec_err(e.to_string()))?;
+        .map_err(|e| exec_err(bench, &engine, e.to_string()))?;
     Ok((result, recording))
-}
-
-/// [`execute`] with observability; `prog` is required only when
-/// `config.profile` asks for source-line symbolization.
-pub fn execute_traced(
-    bench: &Benchmark,
-    engine: &Engine,
-    artifact: &Artifact,
-    prog: Option<&HProgram>,
-    policy: AppendPolicy,
-    config: TraceConfig,
-    mut spans: Option<SpanLog>,
-) -> Result<(RunResult, Option<TraceSession>), Error> {
-    let exec_err = |message: String| Error::Exec {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        message,
-    };
-
-    let module = &artifact.module;
-    let symbols = if config.profile {
-        let mut s = SymbolMap::from_module(module);
-        if let Some(prog) = prog {
-            s.attach_source(&wasmperf_clanglite::source_table(prog));
-        }
-        if !artifact.func_texts.is_empty() {
-            s.attach_wasm_texts(module, &artifact.func_texts);
-        }
-        Some(s)
-    } else {
-        None
-    };
-
-    let host = RunHost::for_bench(bench, policy, config.strace, &exec_err)?;
-
-    let entry = module.entry.ok_or_else(|| exec_err("no main".into()))?;
-    let mut machine = Machine::new(module, host);
-    if config.profile {
-        machine.enable_profile();
-    }
-    let open = spans.as_ref().map(SpanLog::enter);
-    let run = machine.run(entry, &[], DEFAULT_FUEL);
-    if let (Some(log), Some(open)) = (spans.as_mut(), open) {
-        log.exit(open, "exec", "run");
-    }
-    let profile = machine.take_profile();
-
-    let mut host = machine.into_host();
-    let out = run.map_err(|e| match host.divergence() {
-        Some(msg) => exec_err(format!("replay divergence: {msg}")),
-        None => exec_err(format!("{e:?}")),
-    })?;
-    let checksum = out.ret as u32 as i32;
-    let outputs = host.finish(bench, checksum, &exec_err)?;
-
-    let result = RunResult {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        checksum,
-        counters: out.counters,
-        kernel_syscalls: host.stats().syscalls,
-        kernel_bytes: host.stats().bytes_marshalled,
-        outputs,
-        compile_cycles: artifact.compile_cycles,
-        code_bytes: module.code_bytes(),
-    };
-
-    let trace = if config.is_off() {
-        None
-    } else {
-        let mut t = TraceSession::new(&result.bench, &result.engine);
-        t.spans = spans.map(|l| l.spans).unwrap_or_default();
-        t.strace = host.take_strace();
-        t.profile = profile;
-        t.symbols = symbols;
-        let c = &result.counters;
-        t.totals = vec![
-            ("instructions_retired", c.instructions_retired),
-            ("cycles", c.cycles),
-            ("icache_misses", c.icache_misses),
-            ("dcache_misses", c.dcache_misses),
-            ("branch_mispredicts", c.branch_mispredicts),
-            ("host_calls", c.host_calls),
-            ("host_cycles", c.host_cycles),
-            ("total_cycles", c.total_cycles()),
-        ];
-        Some(t)
-    };
-
-    Ok((result, trace))
 }
 
 /// Compiles and runs `bench` on `engine`, with inputs staged in a fresh
@@ -691,7 +383,243 @@ pub fn run_one_traced(
         None
     };
     let (artifact, prog) = prepare_traced(bench, engine, spans.as_mut())?;
-    execute_traced(bench, engine, &artifact, Some(&prog), policy, config, spans)
+    let host = RunHost::for_bench(bench, engine, policy, config.strace)?;
+    let open = spans.as_ref().map(SpanLog::enter);
+    let (result, mut host, profile) = run(
+        bench,
+        engine,
+        &artifact,
+        host,
+        ExecMode::Threaded,
+        DEFAULT_FUEL,
+        config.profile,
+    )?;
+    if let (Some(log), Some(open)) = (spans.as_mut(), open) {
+        log.exit(open, "exec", "run");
+    }
+    if config.is_off() {
+        return Ok((result, None));
+    }
+
+    let mut t = TraceSession::new(&result.bench, &result.engine);
+    t.spans = spans.map(|l| l.spans).unwrap_or_default();
+    t.strace = host.take_strace();
+    t.profile = profile;
+    if config.profile {
+        let mut symbols = SymbolMap::from_module(&artifact.module);
+        symbols.attach_source(&wasmperf_clanglite::source_table(&prog));
+        if !artifact.func_texts.is_empty() {
+            symbols.attach_wasm_texts(&artifact.module, &artifact.func_texts);
+        }
+        t.symbols = Some(symbols);
+    }
+    let c = &result.counters;
+    t.totals = vec![
+        ("instructions_retired", c.instructions_retired),
+        ("cycles", c.cycles),
+        ("icache_misses", c.icache_misses),
+        ("dcache_misses", c.dcache_misses),
+        ("branch_mispredicts", c.branch_mispredicts),
+        ("host_calls", c.host_calls),
+        ("host_cycles", c.host_cycles),
+        ("total_cycles", c.total_cycles()),
+    ];
+    Ok((result, Some(t)))
+}
+
+/// The one execution path behind every entry point: runs `artifact` from
+/// its entry on `host` under `mode` with a `fuel` budget, maps traps to
+/// [`Error`], and validates and collects what the host saw. `profile`
+/// attributes cycles per instruction address (which always takes the
+/// legacy loop). Returns the host for callers that read more from it.
+fn run(
+    bench: &Benchmark,
+    engine: &Engine,
+    artifact: &Artifact,
+    host: RunHost,
+    mode: ExecMode,
+    fuel: u64,
+    profile: bool,
+) -> Result<(RunResult, RunHost, Option<CycleProfile>), Error> {
+    let module = &artifact.module;
+    let entry = module
+        .entry
+        .ok_or_else(|| exec_err(bench, engine, "no main".into()))?;
+    let mut machine = Machine::new(module, host);
+    machine.set_exec_mode(mode);
+    if profile {
+        machine.enable_profile();
+    }
+    let run = machine.run(entry, &[], fuel);
+    let profile = machine.take_profile();
+    let host = machine.into_host();
+    let out = run.map_err(|e| {
+        if e.kind == TrapKind::OutOfFuel {
+            Error::OutOfFuel {
+                bench: bench.name.to_string(),
+                engine: engine.name(),
+                fuel,
+            }
+        } else if let Some(msg) = host.divergence() {
+            exec_err(bench, engine, format!("replay divergence: {msg}"))
+        } else {
+            exec_err(bench, engine, format!("{e:?}"))
+        }
+    })?;
+
+    let checksum = out.ret as u32 as i32;
+    let outputs = host.finish(bench, engine, checksum)?;
+    let result = RunResult {
+        bench: bench.name.to_string(),
+        engine: engine.name(),
+        checksum,
+        counters: out.counters,
+        kernel_syscalls: host.stats().syscalls,
+        kernel_bytes: host.stats().bytes_marshalled,
+        outputs,
+        compile_cycles: artifact.compile_cycles,
+        code_bytes: module.code_bytes(),
+    };
+    Ok((result, host, profile))
+}
+
+fn exec_err(bench: &Benchmark, engine: &Engine, message: String) -> Error {
+    Error::Exec {
+        bench: bench.name.to_string(),
+        engine: engine.name(),
+        message,
+    }
+}
+
+/// Writes `bench`'s input files into `kernel`'s file system.
+fn stage_inputs(kernel: &mut Kernel, bench: &Benchmark, engine: &Engine) -> Result<(), Error> {
+    for (path, data) in &bench.inputs {
+        kernel
+            .fs
+            .write_all(path, data)
+            .map_err(|e| exec_err(bench, engine, format!("staging {path}: {e:?}")))?;
+    }
+    Ok(())
+}
+
+/// The host behind one execution: a live Browsix kernel, a replay kernel
+/// answering syscalls from a recording ([`Suite::Replay`] benchmarks), or
+/// a live kernel behind a [`Recorder`] capturing the syscall boundary.
+///
+/// [`Suite::Replay`]: wasmperf_benchsuite::Suite::Replay
+enum RunHost {
+    Live(Box<Kernel>),
+    Replay(ReplayKernel),
+    Record(Box<Recorder>),
+}
+
+impl RunHost {
+    /// Builds the host for `bench`: a replay kernel when the benchmark
+    /// carries a recording, else a fresh kernel with inputs staged.
+    fn for_bench(
+        bench: &Benchmark,
+        engine: &Engine,
+        policy: AppendPolicy,
+        strace: bool,
+    ) -> Result<RunHost, Error> {
+        if let Some(rec) = &bench.replay {
+            let mut k = ReplayKernel::new(rec.clone());
+            if strace {
+                k.strace = Some(StraceLog::default());
+            }
+            return Ok(RunHost::Replay(k));
+        }
+        let mut kernel = Kernel::new(policy);
+        if strace {
+            kernel.strace = Some(StraceLog::default());
+        }
+        stage_inputs(&mut kernel, bench, engine)?;
+        Ok(RunHost::Live(Box::new(kernel)))
+    }
+
+    fn stats(&self) -> &KernelStats {
+        match self {
+            RunHost::Live(k) => &k.stats,
+            RunHost::Replay(k) => &k.stats,
+            RunHost::Record(r) => &r.kernel.stats,
+        }
+    }
+
+    fn take_strace(&mut self) -> Option<StraceLog> {
+        match self {
+            RunHost::Live(k) => k.strace.take(),
+            RunHost::Replay(k) => k.strace.take(),
+            // The recorder's strace log is what its recording is built from.
+            RunHost::Record(_) => None,
+        }
+    }
+
+    /// Post-run validation and output collection. A replay host must have
+    /// consumed its recording exactly and reproduced the recorded
+    /// checksum; a live host yields the benchmark's declared output
+    /// files.
+    fn finish(
+        &self,
+        bench: &Benchmark,
+        engine: &Engine,
+        checksum: i32,
+    ) -> Result<Vec<(String, Vec<u8>)>, Error> {
+        let kernel: &Kernel = match self {
+            RunHost::Replay(k) => {
+                k.finish()
+                    .map_err(|e| exec_err(bench, engine, e.to_string()))?;
+                let rec = bench
+                    .replay
+                    .as_ref()
+                    .expect("replay host without recording");
+                if checksum != rec.checksum {
+                    return Err(exec_err(
+                        bench,
+                        engine,
+                        format!("replay checksum {checksum} != recorded {}", rec.checksum),
+                    ));
+                }
+                return Ok(Vec::new());
+            }
+            RunHost::Live(k) => k,
+            RunHost::Record(r) => &r.kernel,
+        };
+        bench
+            .outputs
+            .iter()
+            .map(|path| {
+                let data = kernel
+                    .fs
+                    .read_all(path)
+                    .map_err(|e| exec_err(bench, engine, format!("output {path}: {e:?}")))?;
+                Ok((path.clone(), data))
+            })
+            .collect()
+    }
+
+    /// The divergence message, if this is a replay host that strayed
+    /// from its recording (the cause behind an `Abort` trap).
+    fn divergence(&self) -> Option<&str> {
+        match self {
+            RunHost::Replay(k) => k.divergence(),
+            RunHost::Live(_) | RunHost::Record(_) => None,
+        }
+    }
+}
+
+impl HostEnv for RunHost {
+    fn call(
+        &mut self,
+        id: u32,
+        args: &[u64; 6],
+        mem: &mut Memory,
+    ) -> Result<HostOutcome, TrapKind> {
+        match self {
+            RunHost::Live(k) => k.call(id, args, mem),
+            RunHost::Replay(k) => k.call(id, args, mem),
+            RunHost::Record(r) => r.call(id, args, mem),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -514,3 +514,38 @@ fn loadgen_closed_loop_with_check_passes_end_to_end() {
 
     shutdown(handle, &addr);
 }
+
+#[test]
+fn deeply_nested_sources_are_422_naming_the_limit() {
+    let (handle, addr) = serve(1, 8);
+    let mut c = Client::connect(&addr).unwrap();
+
+    // 1000 nested groups (2 KB) and 2000 terms (4 KB): each once overflowed
+    // a worker's stack inside the CLite compiler and aborted the process.
+    for expr in [
+        format!("{}1{}", "(".repeat(1000), ")".repeat(1000)),
+        format!("1{}", "+1".repeat(1999)),
+    ] {
+        let body = Json::Obj(vec![
+            (
+                "source".into(),
+                Json::Str(format!("fn main() -> i32 {{ return {expr}; }}")),
+            ),
+            ("engine".into(), Json::Str("native".into())),
+        ]);
+        let resp = c.post_json("/run", &body).unwrap();
+        assert_eq!(resp.status, 422);
+        let body = resp.body_json().unwrap();
+        let err = body.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            err.contains("nesting deeper than") && err.contains(" levels"),
+            "{err}"
+        );
+    }
+
+    // The process survived and still serves.
+    let resp = c.post_json("/run", &run_body("gemm", "native")).unwrap();
+    assert_eq!(resp.status, 200);
+
+    shutdown(handle, &addr);
+}

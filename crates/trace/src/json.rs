@@ -12,6 +12,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Request bodies,
+/// results, recordings and store records nest a few levels; the bound
+/// keeps the recursive parser, and the recursive drop of what it built,
+/// far inside any thread's stack whatever a client sends.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -128,11 +134,12 @@ impl Json {
         }
     }
 
-    /// Parses JSON text. Rejects trailing garbage.
+    /// Parses JSON text. Rejects trailing garbage and nesting deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(s: &str) -> Result<Json, String> {
         let bytes = s.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -175,10 +182,14 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|_| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|_| Json::Bool(false)),
@@ -192,7 +203,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -217,7 +228,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -429,6 +440,36 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    /// `depth` nested arrays and `depth` nested objects.
+    fn nested(depth: usize) -> [String; 2] {
+        let arrays = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let mut objects = "{}".to_string();
+        for _ in 1..depth {
+            objects = format!("{{\"a\":{objects}}}");
+        }
+        [arrays, objects]
+    }
+
+    #[test]
+    fn accepts_nesting_at_the_limit() {
+        for text in nested(MAX_DEPTH) {
+            assert!(Json::parse(&text).is_ok(), "{text}");
+        }
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_limit_by_name() {
+        let [arrays, objects] = nested(MAX_DEPTH + 1);
+        // A hostile body: no closing brackets, far past any stack.
+        for text in [arrays, objects, "[".repeat(100_000)] {
+            let err = Json::parse(&text).unwrap_err();
+            assert!(
+                err.contains(&format!("deeper than {MAX_DEPTH} levels")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -1,33 +1,28 @@
-//! Differential equivalence of the three interpreter loops.
+//! Differential equivalence of the two interpreter loops.
 //!
-//! The predecoded micro-op engine ([`ExecMode::Predecoded`]) and the
-//! direct-threaded superblock engine ([`ExecMode::Threaded`]) must both
-//! be unobservable optimizations: every result, trap location, counter,
+//! The direct-threaded superblock engine ([`ExecMode::Threaded`]) must be
+//! an unobservable optimization: every result, trap location, counter,
 //! and output byte must match the legacy per-instruction interpreter
 //! ([`ExecMode::Legacy`]) exactly. These tests replay the entire
 //! regression corpus, a report-style benchmark × engine matrix, and the
-//! checked-in replay recordings through all three loops and compare
+//! checked-in replay recordings through both loops and compare
 //! everything — including trap and out-of-fuel outcomes, where the
 //! threaded tier's batched fuel accounting must roll back to the exact
-//! per-instruction trap location.
+//! per-instruction trap location. The sandboxed engines (bounds checks,
+//! PKU switches) are in every sweep, since both loops charge for them.
 
 use std::sync::Arc;
 use wasmperf_benchsuite::{Benchmark, Size};
 use wasmperf_browsix::AppendPolicy;
 use wasmperf_cpu::machine::ExecError;
 use wasmperf_cpu::{ExecMode, Machine, NullHost, PerfCounters};
-use wasmperf_harness::engine::{
-    execute_with_mode, execute_with_mode_and_fuel, run_one_traced, Engine,
-};
-use wasmperf_harness::{prepare, TraceConfig};
+use wasmperf_harness::engine::{execute_with_mode_and_fuel, run_one_traced, Engine};
+use wasmperf_harness::{prepare, Artifact, Error, RunResult, TraceConfig, DEFAULT_FUEL};
 use wasmperf_isa::Module;
-use wasmperf_wasmjit::EngineProfile;
+use wasmperf_wasmjit::{EngineProfile, SandboxModel, PKU_SWITCH_CYCLES};
 
 /// Same bound the difftest fuzzer uses for machine pipelines.
 const FUEL: u64 = 50_000_000;
-
-/// The two optimized loops, each checked against [`ExecMode::Legacy`].
-const FAST_MODES: [ExecMode; 2] = [ExecMode::Predecoded, ExecMode::Threaded];
 
 /// Everything observable about a hostless run: the outcome (or the full
 /// trap, location and detail included) plus the final counters.
@@ -45,16 +40,30 @@ fn observe(module: &Module, mode: ExecMode) -> Observation {
 }
 
 fn assert_modes_agree(module: &Module, what: &str) {
-    let slow = observe(module, ExecMode::Legacy);
-    for mode in FAST_MODES {
-        let fast = observe(module, mode);
-        assert_eq!(fast, slow, "{what}: {mode:?} and legacy runs diverged");
-    }
+    assert_eq!(
+        observe(module, ExecMode::Threaded),
+        observe(module, ExecMode::Legacy),
+        "{what}: threaded and legacy runs diverged"
+    );
+}
+
+/// One harness run of `artifact` under `mode` with the default fuel.
+fn run(bench: &Benchmark, engine: &Engine, artifact: &Artifact, mode: ExecMode) -> RunResult {
+    execute_with_mode_and_fuel(
+        bench,
+        engine,
+        artifact,
+        AppendPolicy::Chunked4K,
+        mode,
+        DEFAULT_FUEL,
+    )
+    .expect("runs")
 }
 
 /// Replays every corpus case — each a shrunk program that once exposed a
 /// real semantics divergence, several of which trap by design — through
-/// all four machine-code pipelines, under all three interpreter loops.
+/// the native pipeline and every JIT profile, sandboxed ones included,
+/// under both interpreter loops.
 #[test]
 fn corpus_replays_identically_under_all_loops() {
     let mut cases = 0;
@@ -78,6 +87,10 @@ fn corpus_replays_identically_under_all_loops() {
             EngineProfile::firefox(),
             EngineProfile::chrome_asmjs(),
             EngineProfile::firefox_asmjs(),
+            EngineProfile::chrome().with_sandbox(SandboxModel::Bounds),
+            EngineProfile::chrome().with_sandbox(SandboxModel::Pku {
+                switch_cycles: PKU_SWITCH_CYCLES,
+            }),
         ] {
             let jit = wasmperf_wasmjit::compile(&wasm, &profile).expect("jit compiles");
             assert_modes_agree(&jit.module, &format!("{name} ({})", profile.name));
@@ -88,9 +101,9 @@ fn corpus_replays_identically_under_all_loops() {
 }
 
 /// A report-style sweep: real benchmarks (compute-bound kernels and
-/// I/O-heavy SPEC analogs) on the paper's engine set, comparing the
-/// full [`wasmperf_harness::RunResult`] — checksum, every counter,
-/// syscall count, and output file bytes — across all three loops.
+/// I/O-heavy SPEC analogs) on the paper's engine set plus the sandboxed
+/// engines, comparing the full [`RunResult`] — checksum, every counter,
+/// syscall count, and output file bytes — across both loops.
 #[test]
 fn report_matrix_is_byte_identical_across_loops() {
     let want = ["gemm", "durbin", "401.bzip2", "464.h264ref"];
@@ -99,32 +112,32 @@ fn report_matrix_is_byte_identical_across_loops() {
         .filter(|b| want.contains(&b.name.as_str()))
         .collect();
     assert_eq!(benches.len(), want.len());
+    let mut engines = Engine::headline();
+    for e in Engine::sandbox_set() {
+        if !engines.contains(&e) {
+            engines.push(e);
+        }
+    }
     for bench in &benches {
-        for engine in Engine::headline() {
-            let artifact = prepare(bench, &engine).expect("compiles");
-            let run = |mode| {
-                execute_with_mode(bench, &engine, &artifact, AppendPolicy::Chunked4K, mode)
-                    .expect("runs")
-            };
-            let slow = run(ExecMode::Legacy);
-            for mode in FAST_MODES {
-                assert_eq!(
-                    run(mode),
-                    slow,
-                    "{}/{}: {mode:?} diverged from legacy",
-                    bench.name,
-                    engine.name()
-                );
-            }
+        for engine in &engines {
+            let artifact = prepare(bench, engine).expect("compiles");
+            assert_eq!(
+                run(bench, engine, &artifact, ExecMode::Threaded),
+                run(bench, engine, &artifact, ExecMode::Legacy),
+                "{}/{}: threaded diverged from legacy",
+                bench.name,
+                engine.name()
+            );
         }
     }
 }
 
 /// Every checked-in replay recording — compute-bound (`gemm`), I/O-bound
 /// (`io.rwmix`), and mixed (`401.bzip2`) — replays byte-identically under
-/// all three loops, on the native pipeline and a wasm JIT. The replay
-/// kernel answers syscalls from the recording, so this exercises the
-/// threaded tier's host-call side exits against recorded workloads.
+/// both loops, on the native pipeline and the wasm JIT with each sandbox
+/// model. The replay kernel answers syscalls from the recording, so this
+/// exercises the threaded tier's host-call side exits (and their PKU
+/// switch charges) against recorded workloads.
 #[test]
 fn recordings_replay_identically_across_loops() {
     let recs = wasmperf_replay::load_dir(std::path::Path::new("recordings")).expect("corpus");
@@ -135,29 +148,22 @@ fn recordings_replay_identically_across_loops() {
     );
     for rec in recs {
         let bench = wasmperf_benchsuite::replay::from_recording(Arc::new(rec));
-        for engine in [Engine::Native, Engine::Jit(EngineProfile::chrome())] {
-            let artifact = prepare(&bench, &engine).expect("compiles");
-            let run = |mode| {
-                execute_with_mode(&bench, &engine, &artifact, AppendPolicy::Chunked4K, mode)
-                    .expect("replays")
-            };
-            let slow = run(ExecMode::Legacy);
-            for mode in FAST_MODES {
-                assert_eq!(
-                    run(mode),
-                    slow,
-                    "{}/{}: {mode:?} diverged from legacy",
-                    bench.name,
-                    engine.name()
-                );
-            }
+        for engine in &Engine::sandbox_set() {
+            let artifact = prepare(&bench, engine).expect("compiles");
+            assert_eq!(
+                run(&bench, engine, &artifact, ExecMode::Threaded),
+                run(&bench, engine, &artifact, ExecMode::Legacy),
+                "{}/{}: threaded diverged from legacy",
+                bench.name,
+                engine.name()
+            );
         }
     }
 }
 
 /// A torn recording traps mid-run with a replay-divergence error; the
 /// error (benchmark, engine, and message, including the trap location)
-/// must be identical under all three loops.
+/// must be identical under both loops.
 #[test]
 fn truncated_recording_traps_identically_across_loops() {
     let recs = wasmperf_replay::load_dir(std::path::Path::new("recordings")).expect("corpus");
@@ -169,9 +175,16 @@ fn truncated_recording_traps_identically_across_loops() {
     let bench = wasmperf_benchsuite::replay::from_recording(Arc::new(rec));
     let engine = Engine::Native;
     let artifact = prepare(&bench, &engine).expect("compiles");
-    let run = |mode| {
-        execute_with_mode(&bench, &engine, &artifact, AppendPolicy::Chunked4K, mode)
-            .expect_err("truncated recording must not replay cleanly")
+    let run = |mode| -> Error {
+        execute_with_mode_and_fuel(
+            &bench,
+            &engine,
+            &artifact,
+            AppendPolicy::Chunked4K,
+            mode,
+            DEFAULT_FUEL,
+        )
+        .expect_err("truncated recording must not replay cleanly")
     };
     let slow = run(ExecMode::Legacy);
     let msg = slow.to_string();
@@ -179,15 +192,17 @@ fn truncated_recording_traps_identically_across_loops() {
         msg.contains("replay") || msg.contains("divergence"),
         "unhelpful truncation error: {msg}"
     );
-    for mode in FAST_MODES {
-        assert_eq!(run(mode), slow, "{mode:?} truncation trap diverged");
-    }
+    assert_eq!(
+        run(ExecMode::Threaded),
+        slow,
+        "threaded truncation trap diverged"
+    );
 }
 
 /// Out-of-fuel runs through the full harness: at several budgets — some
-/// tiny, some mid-run — every loop reports the identical
-/// [`wasmperf_harness::Error::OutOfFuel`]. The threaded tier batches fuel
-/// per superblock, so this pins its side-exit rollback at harness level.
+/// tiny, some mid-run — both loops report the identical
+/// [`Error::OutOfFuel`]. The threaded tier batches fuel per superblock,
+/// so this pins its side-exit rollback at harness level.
 #[test]
 fn out_of_fuel_is_identical_across_loops() {
     let bench = wasmperf_benchsuite::all(Size::Test)
@@ -196,15 +211,9 @@ fn out_of_fuel_is_identical_across_loops() {
         .expect("known benchmark");
     for engine in [Engine::Native, Engine::Jit(EngineProfile::chrome())] {
         let artifact = prepare(&bench, &engine).expect("compiles");
-        let full = execute_with_mode(
-            &bench,
-            &engine,
-            &artifact,
-            AppendPolicy::Chunked4K,
-            ExecMode::Legacy,
-        )
-        .expect("runs");
-        let total = full.counters.instructions_retired;
+        let total = run(&bench, &engine, &artifact, ExecMode::Legacy)
+            .counters
+            .instructions_retired;
         for fuel in [1, 97, total / 2, total - 1] {
             let run = |mode| {
                 execute_with_mode_and_fuel(
@@ -218,21 +227,20 @@ fn out_of_fuel_is_identical_across_loops() {
                 .expect_err("budget chosen below the benchmark's run length")
             };
             let slow = run(ExecMode::Legacy);
-            for mode in FAST_MODES {
-                assert_eq!(
-                    run(mode),
-                    slow,
-                    "{}/fuel={fuel}: {mode:?} out-of-fuel diverged",
-                    engine.name()
-                );
-            }
+            assert!(matches!(slow, Error::OutOfFuel { .. }), "{slow}");
+            assert_eq!(
+                run(ExecMode::Threaded),
+                slow,
+                "{}/fuel={fuel}: threaded out-of-fuel diverged",
+                engine.name()
+            );
         }
     }
 }
 
 /// Profiled runs are pinned to the legacy loop so `wasmperf-trace`
 /// attribution stays exact per instruction — but their results must
-/// still match both optimized loops, and the profile must cover every
+/// still match the threaded loop, and the profile must cover every
 /// retired instruction and cycle.
 #[test]
 fn traced_legacy_run_matches_optimized_runs() {
@@ -250,19 +258,16 @@ fn traced_legacy_run_matches_optimized_runs() {
         run_one_traced(&bench, &engine, AppendPolicy::Chunked4K, config).expect("traced run");
 
     let artifact = prepare(&bench, &engine).expect("compiles");
-    for mode in FAST_MODES {
-        let fast = execute_with_mode(&bench, &engine, &artifact, AppendPolicy::Chunked4K, mode)
-            .expect("runs");
-        assert_eq!(traced, fast, "traced (legacy) vs {mode:?} diverged");
-        assert_eq!(
-            session
-                .as_ref()
-                .expect("tracing on")
-                .profile
-                .as_ref()
-                .expect("profile collected")
-                .total_instructions(),
-            fast.counters.instructions_retired
-        );
-    }
+    let fast = run(&bench, &engine, &artifact, ExecMode::Threaded);
+    assert_eq!(traced, fast, "traced (legacy) vs threaded diverged");
+    assert_eq!(
+        session
+            .as_ref()
+            .expect("tracing on")
+            .profile
+            .as_ref()
+            .expect("profile collected")
+            .total_instructions(),
+        fast.counters.instructions_retired
+    );
 }
